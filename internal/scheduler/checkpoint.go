@@ -205,8 +205,17 @@ func cfgHash(cfg RunConfig) uint64 {
 // configHash is the sim-level cfgHash: identical fields, but the job
 // section covers the live job set (initial trace plus every injected
 // job) so a snapshot taken mid-stream fingerprints the jobs it
-// actually carries.
+// actually carries. It is memoized per job count (see sim.hashMemo).
 func (s *sim) configHash() uint64 {
+	if s.hashMemoJobs != len(s.states) {
+		s.hashMemo = s.hashConfig()
+		s.hashMemoJobs = len(s.states)
+	}
+	return s.hashMemo
+}
+
+// hashConfig computes configHash afresh.
+func (s *sim) hashConfig() uint64 {
 	h := fnv.New64a()
 	put := func(format string, args ...any) { fmt.Fprintf(h, format+"|", args...) }
 	hashCfgFields(put, &s.cfg)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"iscope/internal/checkpoint"
 	"iscope/internal/invariants"
 	"iscope/internal/units"
+	"iscope/internal/workload"
 )
 
 // snapCollector is a checkpoint sink that keeps every snapshot.
@@ -340,4 +342,74 @@ func TestCheckpointRequiresSink(t *testing.T) {
 	if _, err := Run(fleet, sch, cfg); err == nil {
 		t.Fatal("checkpoint config without sink accepted")
 	}
+}
+
+// TestConfigHashMemo: the memoized checkpoint fingerprint equals a
+// fresh computation after every way a run's job set can change — an
+// injected job, an injection rolled back (followed by a different job
+// at the same index), and a restore that extends the configured jobs
+// with the snapshot's streamed ones.
+func TestConfigHashMemo(t *testing.T) {
+	fleet := testFleet(t, 8)
+	jobs := testJobs(t, 81, 10, 0.3)
+	cfg := RunConfig{Seed: 4, Jobs: jobs, Wind: testWind(t, fleet, 82)}
+	check := func(s *sim, when string) {
+		t.Helper()
+		if got, want := s.configHash(), s.hashConfig(); got != want {
+			t.Fatalf("%s: memoized config hash %x, fresh %x", when, got, want)
+		}
+	}
+	streamed := func(i int) workload.Job {
+		return workload.Job{ID: 100 + i, Procs: 1 + i%3, Runtime: units.Hours(1 + float64(i)), Boundness: 0.5}
+	}
+
+	a, err := NewStepper(fleet, Schemes()[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	check(a.s, "construction")
+	if _, err := a.AdvanceTo(units.Hours(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := a.InjectJob(a.Now()+units.Hours(1), streamed(i)); err != nil {
+			t.Fatal(err)
+		}
+		check(a.s, fmt.Sprintf("InjectJob %d", i))
+	}
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resume := cfg
+	resume.Resume = snap
+	b, err := NewStepper(fleet, Schemes()[0], resume)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	defer b.Close()
+	if len(b.s.states) != len(jobs.Jobs)+3 {
+		t.Fatalf("restore left %d jobs, want %d", len(b.s.states), len(jobs.Jobs)+3)
+	}
+	check(b.s, "restore extending the job set")
+	if b.s.configHash() != a.s.configHash() {
+		t.Fatal("restored run's config hash differs from the snapshotting run's")
+	}
+
+	// An engine counter below the next arrival's sequence number makes
+	// InjectTag refuse after InjectJob has appended the job, forcing the
+	// rollback path.
+	s := b.s
+	s.eng.Reset(s.eng.Now(), 0)
+	if _, err := b.InjectJob(b.Now()+units.Hours(1), streamed(7)); err == nil {
+		t.Fatal("InjectJob beyond the engine counter succeeded")
+	}
+	check(s, "rolled-back InjectJob")
+	s.eng.SkipTo(arrivalSeqBase)
+	if _, err := b.InjectJob(b.Now()+units.Hours(1), streamed(8)); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "InjectJob after a rollback")
 }

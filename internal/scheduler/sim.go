@@ -300,6 +300,14 @@ type sim struct {
 	states     []jobState
 	stateIdx   map[*workload.Job]int
 
+	// hashMemo caches configHash, which every snapshot needs and which
+	// formats every job. cfg never changes after construction and jobs
+	// are only appended (an InjectJob that fails rolls its append back
+	// before anything can hash), so the job count it covers,
+	// hashMemoJobs, identifies the hashed set; -1 until first computed.
+	hashMemo     uint64
+	hashMemoJobs int
+
 	// open marks a streaming run whose job stream has not been sealed:
 	// more jobs may still arrive through InjectJob, so the periodic
 	// ticks keep re-arming even when no known job is in flight. Batch
@@ -733,6 +741,7 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 	s.open = streaming
 	s.states = make([]jobState, len(initialJobs))
 	s.stateIdx = make(map[*workload.Job]int, len(initialJobs))
+	s.hashMemoJobs = -1
 	s.jobsLeft = len(initialJobs)
 	s.eng.SkipTo(arrivalSeqBase)
 	for i := range initialJobs {

@@ -14,10 +14,14 @@ import (
 // 10-minute interval. A general heap pays O(log n) per push/pop for an
 // access pattern that is nearly FIFO at bucket granularity. The
 // calendar queue exploits that: events hash by ⌊at/grid⌋ into a ring of
-// up to calWindow buckets, each bucket is sorted lazily the first time
-// it becomes the pop candidate, and a whole bucket then drains by a
-// head cursor — one sort per bucket per grid interval instead of one
-// sift per event.
+// up to calWindow buckets. A bucket fills as an append pile, is sorted
+// once when it is opened (the first time it becomes the pop candidate),
+// and then drains by a head cursor. Events that arrive in an opened
+// bucket below its run's tail — completions scheduled into the interval
+// being drained — go to the bucket's small late heap instead of
+// unsorting the run; a pop takes the smaller of the run's front and the
+// late heap's top. A bucket therefore sorts at most once per time it is
+// opened (pinned by the calendar's sort counter in the tests).
 //
 // Events beyond the ring's horizon (one window of grid intervals past
 // the clock) spill into the engine's retained 4-ary heap; popMin compares
@@ -54,19 +58,30 @@ const (
 
 const calNoMin = int64(1) << 62
 
-// calBucket holds the events of one grid interval. items[:head] are
-// already popped (and zeroed); items[head:] are live. sorted means
-// items[head:] is ascending under (at, seq) — buckets fill in nearly
-// sorted order because seq is monotone, so an out-of-order push just
-// clears the flag and the next pop re-sorts the remainder in place.
+// calBucket holds the events of one grid interval. Until the bucket is
+// opened, items is an append pile and sorted records whether it is
+// still ascending under (at, seq) — buckets fill in nearly sorted order
+// because seq is monotone, so opening usually needs no sort at all.
+// Once open, items[head:] is the sorted run (items[:head] are already
+// popped and zeroed) and late is a 4-ary heap of the pushes that sorted
+// below the run's tail; the bucket's front is the smaller of the two
+// fronts. A fully drained bucket closes again.
 type calBucket[T any] struct {
 	gidx   int64
+	open   bool
 	sorted bool
 	head   int
 	items  []node[T]
+	late   []node[T]
 }
 
-func (b *calBucket[T]) live() int { return len(b.items) - b.head }
+func (b *calBucket[T]) live() int { return len(b.items) - b.head + len(b.late) }
+
+// lateFront reports whether the open bucket's front is the late heap's
+// top rather than the run's head.
+func (b *calBucket[T]) lateFront() bool {
+	return len(b.late) > 0 && (b.head == len(b.items) || before(&b.late[0], &b.items[b.head]))
+}
 
 type calendar[T any] struct {
 	grid  units.Seconds
@@ -74,6 +89,10 @@ type calendar[T any] struct {
 	mask  int64 // len(slots)-1; len(slots) is a power of two
 	count int   // live events across all buckets
 	minG  int64 // lower bound on the smallest live grid index
+	// fills, sorts and latePushes count pushes into empty buckets,
+	// sorts on opening and pushes routed to late heaps; read only by
+	// tests. A bucket opens at most once per fill.
+	fills, sorts, latePushes int
 }
 
 func newCalendar[T any](grid units.Seconds) *calendar[T] {
@@ -94,7 +113,6 @@ func newCalendarSized[T any](grid units.Seconds, window int) *calendar[T] {
 	backing := make([]node[T], window*calCarve)
 	for i := range c.slots {
 		c.slots[i].items = backing[i*calCarve : i*calCarve : (i+1)*calCarve]
-		c.slots[i].sorted = true
 	}
 	return c
 }
@@ -105,24 +123,28 @@ func (c *calendar[T]) gi(at units.Seconds) int64 { return int64(at / c.grid) }
 // already checked g is within the horizon.
 func (c *calendar[T]) add(g int64, n node[T]) {
 	b := &c.slots[g&c.mask]
-	if b.live() == 0 {
-		b.gidx = g
-		b.head = 0
-		b.items = b.items[:0]
-		b.sorted = true
-	} else if b.gidx != g {
-		panic("simulator: calendar bucket collision (live index outside window)")
-	} else if b.sorted {
-		tail := &b.items[len(b.items)-1]
-		if n.at < tail.at || (n.at == tail.at && n.seq < tail.seq) {
-			b.sorted = false
-		}
-	}
-	b.items = append(b.items, n)
 	c.count++
 	if g < c.minG {
 		c.minG = g
 	}
+	switch {
+	case b.live() == 0:
+		b.gidx = g
+		b.sorted = true
+		c.fills++
+	case b.gidx != g:
+		panic("simulator: calendar bucket collision (live index outside window)")
+	case len(b.items) > b.head && before(&n, &b.items[len(b.items)-1]):
+		// Below the run's tail. An open bucket keeps its run sorted and
+		// holds n in its late heap; a closed one sorts on opening.
+		if b.open {
+			b.late = heapPush(b.late, n)
+			c.latePushes++
+			return
+		}
+		b.sorted = false
+	}
+	b.items = append(b.items, n)
 }
 
 // findMin returns the bucket holding the earliest ring event, advancing
@@ -147,41 +169,48 @@ func (c *calendar[T]) findMin(giNow int64) *calBucket[T] {
 	}
 }
 
-// top returns the bucket's earliest live event, sorting the live tail
-// first if pushes arrived out of order. Sorting here — once per bucket
-// per grid interval, in place — is the calendar queue's whole trick:
-// the subsequent same-bucket pops are a cursor increment each.
-func (b *calBucket[T]) top() *node[T] {
-	if !b.sorted {
-		s := b.items[b.head:]
-		slices.SortFunc(s, func(x, y node[T]) int {
-			if x.at != y.at {
-				if x.at < y.at {
+// top returns the bucket's earliest live event. A closed bucket is
+// opened first, sorting its append pile in place if pushes arrived out
+// of order. That one sort per opening is the calendar queue's whole
+// trick: every later pop is a cursor increment or a small late-heap
+// pop.
+func (c *calendar[T]) top(b *calBucket[T]) *node[T] {
+	if !b.open {
+		if !b.sorted {
+			c.sorts++
+			slices.SortFunc(b.items[b.head:], func(x, y node[T]) int {
+				if before(&x, &y) {
 					return -1
 				}
 				return 1
-			}
-			if x.seq < y.seq {
-				return -1
-			}
-			return 1
-		})
-		b.sorted = true
+			})
+		}
+		b.open = true
+	}
+	if b.lateFront() {
+		return &b.late[0]
 	}
 	return &b.items[b.head]
 }
 
-// take removes the bucket's front event (which must be its top).
+// take removes the open bucket's front event (its top).
 func (c *calendar[T]) take(b *calBucket[T]) node[T] {
-	n := b.items[b.head]
-	var zero node[T]
-	b.items[b.head] = zero // release the tag for GC, if T holds pointers
-	b.head++
+	var n node[T]
+	if b.lateFront() {
+		n, b.late = heapPop(b.late)
+	} else {
+		n = b.items[b.head]
+		var zero node[T]
+		b.items[b.head] = zero // release the tag for GC, if T holds pointers
+		b.head++
+	}
 	c.count--
 	if b.head == len(b.items) {
 		b.head = 0
 		b.items = b.items[:0]
-		b.sorted = true
+		if len(b.late) == 0 {
+			b.open = false
+		}
 	}
 	return n
 }
@@ -190,9 +219,11 @@ func (c *calendar[T]) reset() {
 	for i := range c.slots {
 		b := &c.slots[i]
 		clear(b.items) // live nodes may hold pointers via the tag
+		clear(b.late)
 		b.items = b.items[:0]
+		b.late = b.late[:0]
 		b.head = 0
-		b.sorted = true
+		b.open = false
 		b.gidx = 0
 	}
 	c.count = 0
@@ -257,8 +288,8 @@ func (e *Engine[T]) popMin() node[T] {
 		return e.pop()
 	}
 	b := c.findMin(c.gi(e.now))
-	t := b.top()
-	if len(e.pq) > 0 && e.less(&e.pq[0], t) {
+	t := c.top(b) // opens the bucket, which take requires
+	if len(e.pq) > 0 && before(&e.pq[0], t) {
 		return e.pop()
 	}
 	return c.take(b)
@@ -273,8 +304,8 @@ func (e *Engine[T]) peekMin() (at units.Seconds, seq uint64, ok bool) {
 		}
 		return e.pq[0].at, e.pq[0].seq, true
 	}
-	t := c.findMin(c.gi(e.now)).top()
-	if len(e.pq) > 0 && e.less(&e.pq[0], t) {
+	t := c.top(c.findMin(c.gi(e.now)))
+	if len(e.pq) > 0 && before(&e.pq[0], t) {
 		return e.pq[0].at, e.pq[0].seq, true
 	}
 	return t.at, t.seq, true
